@@ -6,7 +6,8 @@ The paper's upper-bound proofs are algorithms for oracle Turing machines:
 makes those resources *observable*:
 
 * :func:`count_sat_calls` — context manager counting every NP-oracle
-  (SAT ``solve``) call made anywhere in the package;
+  (SAT ``solve``) call the calling context makes, however deeply the
+  solvers are nested;
 * :class:`Sigma2Oracle` — a Σ₂ᵖ oracle whose queries are "is there a
   (P;Z)-minimal model of this database satisfying this condition?" (the
   primitive all of the paper's Σ₂ᵖ upper bounds factor through), with a
@@ -26,9 +27,9 @@ from typing import Dict, Iterable, Iterator, Optional
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Not
 from ..logic.interpretation import Interpretation
+from ..obs.accounting import observe
 from ..runtime.budget import check_deadline
 from ..sat.minimal import MinimalModelSolver, PZMinimalModelSolver
-from ..sat.solver import GLOBAL_SAT_CALLS
 
 
 @dataclass
@@ -40,18 +41,20 @@ class SatCallCount:
 
 @contextmanager
 def count_sat_calls() -> Iterator[SatCallCount]:
-    """Count NP-oracle (SAT) calls made inside the ``with`` block::
+    """Count NP-oracle (SAT) calls made inside the ``with`` block by the
+    calling context (an :func:`~repro.obs.accounting.observe` window, so
+    other threads' calls never leak in)::
 
         with count_sat_calls() as counter:
             semantics.infers(db, formula)
         print(counter.calls)
     """
-    start = GLOBAL_SAT_CALLS.calls
     record = SatCallCount()
     try:
-        yield record
+        with observe() as window:
+            yield record
     finally:
-        record.calls = GLOBAL_SAT_CALLS.calls - start
+        record.calls = window.np_calls
 
 
 class Sigma2Oracle:

@@ -25,6 +25,8 @@ from repro.obs.accounting import (
     note_nodes,
     note_np_call,
     note_sigma2_dispatch,
+    note_solver,
+    note_solver_released,
     observe,
     sigma2_dispatch,
     totals,
@@ -68,6 +70,8 @@ __all__ = [
     "note_np_call",
     "note_nodes",
     "note_sigma2_dispatch",
+    "note_solver",
+    "note_solver_released",
     "sigma2_dispatch",
     "counts_as_sigma2_dispatch",
     "current_dispatch_depth",

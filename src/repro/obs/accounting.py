@@ -17,16 +17,31 @@ This module is the single place where those dispatches are ticked:
   nesting depth of two for a flat procedure.
 * :func:`note_nodes` — brute-force search nodes, fed from
   :func:`repro.runtime.budget.note_nodes`.
+* :func:`note_solver` / :func:`note_solver_released` — a CDCL solver
+  touched by the calling context (fed from
+  :class:`repro.sat.solver.SatSolver`) and handed back to the solver
+  pool, so windows can report its search statistics.
 
 Dispatch *depth* is tracked in a :class:`~contextvars.ContextVar`, so
 re-entrant Σ₂ᵖ dispatches (which the certifier must flag for Π₂ᵖ
 claims) are visible even across generator suspensions in the same
 context.
 
-:func:`observe` captures a window of this global stream: it snapshots
-the monotone counters at entry and fills an :class:`OracleObservation`
-with the deltas (plus the max dispatch depth seen *inside the window*)
-at exit.  Observations nest; each sees only its own window.
+:func:`observe` opens a *context-local* window.  Every tick above is
+added to the process-wide counter (``/metrics``, :func:`totals`) and to
+each window open in the calling context — the ``_ACTIVE`` stack — and
+to no other.  An observation is therefore the window's own count, exact
+under concurrency: a query on another thread ticks its own windows,
+never this one.  Observations nest; each sees only its own window.
+
+A window also records every CDCL solver the window touches
+(:func:`note_solver`: construction, clause addition, ``solve``),
+keeping the solver's search statistics at first touch — zeros for a
+solver built inside the window — and summing the deltas when the window
+closes — or when the context hands a pooled solver back, since another
+context may check it out next.  Pooled or throwaway, a solver
+contributes exactly the search it did for the window's context, and the
+cost is O(solvers touched), not O(solvers alive).
 
 :func:`record_plan_outcome` closes the planner's feedback loop: every
 planned session query compares the cost model's prediction against the
@@ -40,8 +55,8 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.obs.metrics import METRICS
 
@@ -84,12 +99,22 @@ _ACTIVE: ContextVar[Tuple["_Window", ...]] = ContextVar(
 
 @dataclass
 class OracleObservation:
-    """Oracle work observed inside one :func:`observe` window."""
+    """Oracle work observed inside one :func:`observe` window.
+
+    ``solver_stats`` sums the CDCL search statistics (``decisions``,
+    ``conflicts``, ``propagations``, ...) that the window's solvers spent
+    inside it; it is empty when the window touched no solver.  It is
+    diagnostic, not part of the certified observation: it is left out of
+    :meth:`as_dict`, equality and ``repr``.
+    """
 
     np_calls: int = 0
     sigma2_dispatches: int = 0
     nodes: int = 0
     max_sigma2_depth: int = 0
+    solver_stats: Dict[str, int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def as_dict(self) -> dict:
         return {
@@ -110,23 +135,80 @@ class OracleObservation:
 
 
 class _Window:
-    __slots__ = ("start_np", "start_sigma2", "start_nodes", "max_depth")
+    """The running counts of one open :func:`observe` window.
+
+    Only the context that opened a window can reach it (through
+    ``_ACTIVE``), so its fields are updated without a lock.
+    """
+
+    __slots__ = (
+        "np_calls", "sigma2", "nodes", "max_depth", "solvers", "spent",
+    )
 
     def __init__(self) -> None:
-        self.start_np = NP_CALLS.value
-        self.start_sigma2 = SIGMA2_DISPATCHES.value
-        self.start_nodes = SEARCH_NODES.value
+        self.np_calls = 0
+        self.sigma2 = 0
+        self.nodes = 0
         self.max_depth = 0
+        #: ``id(stats) -> (stats, stats at first touch)``; holding the
+        #: stats object keeps a solver's spend countable even when the
+        #: solver itself is garbage-collected before the window closes.
+        self.solvers: Dict[int, Tuple[Any, Dict[str, int]]] = {}
+        #: Search statistics of solvers already handed back (see
+        #: :func:`note_solver_released`).
+        self.spent: Dict[str, int] = {}
+
+    def settle(self, stats: Any, before: Dict[str, int]) -> None:
+        """Add one solver's spend since ``before`` to :attr:`spent`."""
+        for name, value in stats.snapshot().items():
+            self.spent[name] = self.spent.get(name, 0) + value - before[name]
+
+    def settle_all(self) -> Dict[str, int]:
+        """Settle every solver still open; the window's total spend."""
+        for stats, before in self.solvers.values():
+            self.settle(stats, before)
+        self.solvers.clear()
+        return self.spent
 
 
 def note_np_call() -> None:
     """Tick one NP-oracle invocation."""
     NP_CALLS.inc()
+    for window in _ACTIVE.get():
+        window.np_calls += 1
 
 
 def note_nodes(count: int = 1) -> None:
     """Tick ``count`` brute-force search nodes."""
     SEARCH_NODES.inc(count)
+    for window in _ACTIVE.get():
+        window.nodes += count
+
+
+def note_solver(stats: Any) -> None:
+    """Record that the calling context touches a solver whose search
+    statistics are ``stats`` (anything with a ``snapshot()`` dict, in
+    practice a :class:`repro.sat.types.SolverStats`).
+
+    Called by :class:`repro.sat.solver.SatSolver` at construction, on
+    every clause addition and on every ``solve`` — before the statistics
+    can move — so each open window sees the solver's statistics at its
+    first touch.  Outside any window this is one context-variable read.
+    """
+    for window in _ACTIVE.get():
+        if id(stats) not in window.solvers:
+            window.solvers[id(stats)] = (stats, stats.snapshot())
+
+
+def note_solver_released(stats: Any) -> None:
+    """Close the calling context's accounting of a solver it hands back
+    to a shared pool: its spend so far is settled into every open window,
+    and whatever it does after another context checks it out is that
+    context's, not this one's.  A later touch here starts afresh."""
+    for window in _ACTIVE.get():
+        entry = window.solvers.pop(id(stats), None)
+        if entry is not None:
+            window.settle(*entry)
 
 
 def current_dispatch_depth() -> int:
@@ -134,10 +216,12 @@ def current_dispatch_depth() -> int:
     return _DISPATCH_DEPTH.get()
 
 
-def _record_depth(depth: int) -> None:
+def _tick_sigma2(depth: int) -> None:
+    SIGMA2_DISPATCHES.inc()
     if depth > MAX_DISPATCH_DEPTH.value:
         MAX_DISPATCH_DEPTH.set(depth)
     for window in _ACTIVE.get():
+        window.sigma2 += 1
         if depth > window.max_depth:
             window.max_depth = depth
 
@@ -145,10 +229,9 @@ def _record_depth(depth: int) -> None:
 @contextmanager
 def sigma2_dispatch() -> Iterator[None]:
     """One Σ₂ᵖ-oracle dispatch; nested dispatches raise the depth."""
-    SIGMA2_DISPATCHES.inc()
     depth = _DISPATCH_DEPTH.get() + 1
+    _tick_sigma2(depth)
     token = _DISPATCH_DEPTH.set(depth)
-    _record_depth(depth)
     try:
         yield
     finally:
@@ -158,8 +241,7 @@ def sigma2_dispatch() -> Iterator[None]:
 def note_sigma2_dispatch() -> None:
     """A degenerate (no inner work) Σ₂ᵖ dispatch, e.g. the machine's
     ``k* = 0`` branch that answers with a single plain SAT call."""
-    SIGMA2_DISPATCHES.inc()
-    _record_depth(_DISPATCH_DEPTH.get() + 1)
+    _tick_sigma2(_DISPATCH_DEPTH.get() + 1)
 
 
 def counts_as_sigma2_dispatch(fn):
@@ -180,7 +262,9 @@ def observe() -> Iterator[OracleObservation]:
 
     The yielded :class:`OracleObservation` is filled when the block
     exits (including on error — a budget trip mid-query still leaves a
-    meaningful partial observation behind).
+    meaningful partial observation behind).  The window is closed in
+    the context that opened it on every path, so an observation counts
+    only the calling context's work.
     """
     observation = OracleObservation()
     window = _Window()
@@ -189,12 +273,11 @@ def observe() -> Iterator[OracleObservation]:
         yield observation
     finally:
         _ACTIVE.reset(token)
-        observation.np_calls = NP_CALLS.value - window.start_np
-        observation.sigma2_dispatches = (
-            SIGMA2_DISPATCHES.value - window.start_sigma2
-        )
-        observation.nodes = SEARCH_NODES.value - window.start_nodes
+        observation.np_calls = window.np_calls
+        observation.sigma2_dispatches = window.sigma2
+        observation.nodes = window.nodes
         observation.max_sigma2_depth = window.max_depth
+        observation.solver_stats = window.settle_all()
 
 
 def record_plan_outcome(plan, observation: OracleObservation) -> None:

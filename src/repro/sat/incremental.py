@@ -47,7 +47,6 @@ plan, so a pooled call is governed exactly like a fresh one.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -69,6 +68,7 @@ from ..logic.cnf import Cnf, tseitin
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
+from ..obs.accounting import note_solver_released
 from ..obs.metrics import METRICS
 from .solver import SatSolver
 
@@ -438,9 +438,10 @@ class SolverPool:
     Solvers are checked out by :meth:`acquire` (removed from the pool, so
     concurrent users never share mutable CDCL state) and parked again by
     :meth:`release`.  Counters track creations, reuses and the learned
-    clauses that were warm at each reuse; :meth:`core_stats` aggregates
-    the CDCL statistics of every solver the pool has ever built, which is
-    what lets sessions report *per-query deltas* from long-lived solvers.
+    clauses that were warm at each reuse.  The pool keeps no handle on
+    checked-out solvers: per-query CDCL statistics come from the
+    query's own :func:`~repro.obs.accounting.observe` window, which
+    records every solver the query touches.
     """
 
     def __init__(self, maxsize: int = DEFAULT_POOL_MAXSIZE):
@@ -451,9 +452,6 @@ class SolverPool:
             OrderedDict()
         )
         self._lock = threading.RLock()
-        self._tracked: "weakref.WeakSet[IncrementalSatSolver]" = (
-            weakref.WeakSet()
-        )
         self.created = 0
         self.reused = 0
         self.repeat_checkouts = 0
@@ -491,8 +489,6 @@ class SolverPool:
             self.created += 1
         solver = builder()
         solver._last_checkout_token = token
-        with self._lock:
-            self._tracked.add(solver)
         return solver
 
     def release(
@@ -523,7 +519,6 @@ class SolverPool:
         """Drop every parked solver and reset all counters."""
         with self._lock:
             self._entries.clear()
-            self._tracked = weakref.WeakSet()
             self.created = 0
             self.reused = 0
             self.repeat_checkouts = 0
@@ -563,25 +558,6 @@ class SolverPool:
                 "clauses_retained": self.clauses_retained,
                 "reuse_rate": (self.reused / attempts) if attempts else 0.0,
             }
-
-    def core_stats(self) -> Dict[str, int]:
-        """Aggregate CDCL statistics over every live solver the pool has
-        built (parked or checked out).  Monotone while solvers live, so
-        callers snapshot before/after a query to get per-query deltas."""
-        totals: Dict[str, int] = {
-            "decisions": 0,
-            "conflicts": 0,
-            "propagations": 0,
-            "restarts": 0,
-            "learned_clauses": 0,
-            "solve_calls": 0,
-        }
-        with self._lock:
-            solvers = list(self._tracked)
-        for solver in solvers:
-            for name, value in solver.core_stats().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
 
     def __repr__(self) -> str:
         s = self.stats()
@@ -673,6 +649,9 @@ def release_solver(
     """Return a solver obtained from :func:`acquire_solver` to the pool
     (no-op for ``key=None`` throwaway solvers)."""
     if key is not None:
+        # Settle this context's accounting first: once parked, the
+        # solver's search belongs to whoever checks it out next.
+        note_solver_released(solver._sat._core.stats)
         SOLVER_POOL.release(key, solver)
 
 

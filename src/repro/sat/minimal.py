@@ -54,10 +54,10 @@ from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
 from .decompose import decompose, restrict_partition
 from .incremental import (
-    SOLVER_POOL,
     IncrementalSatSolver,
     Scope,
     acquire_solver,
+    release_solver,
     scoped_sweep,
 )
 
@@ -92,7 +92,7 @@ class _PooledSolverMixin:
         )
         if self._pool_key is not None:
             self._finalizer = weakref.finalize(
-                self, SOLVER_POOL.release, self._pool_key, self._inc
+                self, release_solver, self._pool_key, self._inc
             )
         else:
             self._finalizer = None

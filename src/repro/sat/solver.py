@@ -12,11 +12,11 @@ A :class:`SatSolver` is incremental: clauses can be added between
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import SolverError
 from ..logic.atoms import Literal
+from ..obs.accounting import note_solver
 from ..runtime import observe_sat_call
 from ..logic.clause import Clause
 from ..logic.cnf import Cnf, tseitin
@@ -26,34 +26,6 @@ from ..logic.interpretation import Interpretation
 from .cdcl import CdclSolver
 from .dpll import solve_dpll
 from .types import VariableMap
-
-
-class _GlobalCounter:
-    """Process-wide NP-oracle (SAT ``solve``) call counter.
-
-    Used by :mod:`repro.complexity.oracles` to profile how many NP-oracle
-    calls a decision procedure makes, no matter how deeply the solver
-    instances are nested.  Solvers run on the serving layer's executor
-    threads, so increments go through :meth:`inc` under the counter's
-    lock — a bare ``calls += 1`` is a lost update waiting to happen
-    (and is flagged statically as RPR202).  Reads stay lock-free: the
-    profiling deltas in :mod:`repro.complexity.oracles` tolerate a torn
-    read, never a lost increment.
-    """
-
-    __slots__ = ("calls", "_lock")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def inc(self) -> None:
-        with self._lock:
-            self.calls += 1
-
-
-#: The counter instance; read/reset through repro.complexity.oracles.
-GLOBAL_SAT_CALLS = _GlobalCounter()
 
 
 class SatSolver:
@@ -73,6 +45,7 @@ class SatSolver:
         self.engine = engine
         self.variables = VariableMap()
         self._core = CdclSolver(max_conflicts=max_conflicts)
+        note_solver(self._core.stats)
         self._clauses: List[List[int]] = []  # mirror for the DPLL engine
         self._known_unsat = False
         self._last_model: Optional[set] = None
@@ -82,6 +55,7 @@ class SatSolver:
     # ------------------------------------------------------------------
     def add_int_clause(self, literals: Iterable[int]) -> None:
         """Assert a clause given as integer literals (advanced use)."""
+        note_solver(self._core.stats)  # level-0 propagation counts
         clause = list(literals)
         self._clauses.append(clause)
         if not self._core.add_clause(clause):
@@ -158,17 +132,19 @@ class SatSolver:
         cut off between oracle calls and an injected fault costs no
         solver state.
         """
-        GLOBAL_SAT_CALLS.inc()
+        note_solver(self._core.stats)
         observe_sat_call()
         assumed = [self.variables.int_literal(l) for l in assumptions]
-        if self._known_unsat:
-            self._last_model = None
-            return False
         if self.engine == "dpll":
+            if self._known_unsat:
+                self._last_model = None
+                return False
             unit_clauses = [[l] for l in assumed]
             model = solve_dpll(self._clauses + unit_clauses)
             self._last_model = model
             return model is not None
+        # The core answers an already-refuted theory at once, but still
+        # counts the call: ``solve_calls`` matches the NP calls ticked.
         satisfiable = self._core.solve(assumed)
         self._last_model = self._core.model() if satisfiable else None
         return satisfiable

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Union
 
-from .complexity.oracles import count_sat_calls
 from .errors import ReproError
 from .obs import trace as _trace
 from .obs.accounting import (
@@ -32,7 +31,8 @@ from .obs.certify import (
     ComplexityCertificate,
     TASK_FOR_METHOD,
 )
-from .sat.incremental import SOLVER_POOL, solver_pool_stats
+from .sat.incremental import solver_pool_stats
+from .sat.types import SolverStats
 from .logic.atoms import Literal
 from .logic.database import DisjunctiveDatabase
 from .logic.formula import Formula
@@ -43,6 +43,10 @@ from .semantics.explain import (
     CounterModelCertificate,
     explain_non_inference,
 )
+
+
+#: ``Answer.solver_stats`` of a query that touched no CDCL solver.
+_NO_SEARCH = SolverStats().snapshot()
 
 
 @dataclass
@@ -57,11 +61,16 @@ class Answer:
         certificate: for a negative cautious verdict, a checkable
             counter-model (``None`` for positive verdicts, and for
             engines without a certificate path).
-        solver_stats: per-query *delta* of the pooled CDCL search
-            statistics (decisions, conflicts, propagations, ...).  Pooled
-            solvers outlive queries, so their raw counters are lifetime
-            totals; the session snapshots them around each query and
-            reports only what this query spent.
+        solver_stats: the CDCL search statistics (decisions,
+            conflicts, propagations, solve calls, ...) this query spent,
+            summed over every solver it touched, pooled or throwaway.
+            They come from the query's own context-local
+            :func:`~repro.obs.accounting.observe` window, so they are
+            exact under concurrency and a pooled solver's earlier
+            lifetime never leaks in.  ``solve_calls`` equals
+            ``observation.np_calls`` for CDCL-backed engines, except
+            that a call cut off by a budget or an injected fault before
+            its search counts as an NP call only.
         observation: the oracle work this query was observed doing
             (NP calls, Σ₂ᵖ dispatches, nodes, dispatch depth).
         complexity: the Table 1/Table 2 complexity certificate for this
@@ -161,22 +170,19 @@ class DatabaseSession:
         self.solver_stat_totals: Dict[str, int] = {}
         self.plan_procedure_counts: Dict[str, int] = {}
 
-    @staticmethod
-    def _solver_delta(
-        before: Dict[str, int], after: Dict[str, int]
-    ) -> Dict[str, int]:
-        """Per-query pooled-solver spend: ``after - before``, clamped at
-        zero (a solver GC'd mid-query can make a raw counter regress)."""
-        return {
-            name: max(0, value - before.get(name, 0))
-            for name, value in after.items()
-        }
-
-    def _note_solver_delta(self, delta: Dict[str, int]) -> None:
-        for name, value in delta.items():
+    def _tally(self, window: OracleObservation) -> Dict[str, int]:
+        """Count one answered query into the session totals and return
+        its CDCL search statistics (every key present, zero when the
+        query touched no solver)."""
+        solver_stats = dict(_NO_SEARCH)
+        solver_stats.update(window.solver_stats)
+        self.total_sat_calls += window.np_calls
+        self.queries_answered += 1
+        for name, value in solver_stats.items():
             self.solver_stat_totals[name] = (
                 self.solver_stat_totals.get(name, 0) + value
             )
+        return solver_stats
 
     def _note_plan(
         self, span, plan, window: OracleObservation
@@ -262,7 +268,6 @@ class DatabaseSession:
         """
         engine = self._semantics(semantics)
         formula = self._parse(query)
-        solver_before = SOLVER_POOL.core_stats()
         with _trace.active_tracer().span(
             "query.ask",
             semantics=engine.name,
@@ -270,7 +275,7 @@ class DatabaseSession:
             mode=mode,
             query=str(formula),
         ) as span:
-            with observe() as window, count_sat_calls() as counter:
+            with observe() as window:
                 if mode == "cautious":
                     verdict = engine.infers(self.db, formula)
                 elif mode == "brave":
@@ -283,11 +288,8 @@ class DatabaseSession:
                 if mode == "cautious"
                 else None
             )
-            span.set_attributes(verdict=verdict, sat_calls=counter.calls)
+            span.set_attributes(verdict=verdict, sat_calls=window.np_calls)
             self._note_plan(span, plan, window)
-        solver_delta = self._solver_delta(
-            solver_before, SOLVER_POOL.core_stats()
-        )
         certificate = None
         if (
             mode == "cautious"
@@ -304,16 +306,13 @@ class DatabaseSession:
                 )
             except Exception:
                 certificate = None  # engines without a certificate path
-        self.total_sat_calls += counter.calls
-        self.queries_answered += 1
-        self._note_solver_delta(solver_delta)
         return Answer(
             verdict=verdict,
             semantics=engine.name,
             query=formula,
-            sat_calls=counter.calls,
+            sat_calls=window.np_calls,
             certificate=certificate,
-            solver_stats=solver_delta,
+            solver_stats=self._tally(window),
             observation=window,
             complexity=complexity,
             plan=plan,
@@ -328,35 +327,28 @@ class DatabaseSession:
         engine = self._semantics(semantics)
         if isinstance(literal, str):
             literal = Literal.parse(literal)
-        solver_before = SOLVER_POOL.core_stats()
         with _trace.active_tracer().span(
             "query.ask_literal",
             semantics=engine.name,
             engine=self.engine,
             literal=str(literal),
         ) as span:
-            with observe() as window, count_sat_calls() as counter:
+            with observe() as window:
                 verdict = engine.infers_literal(self.db, literal)
             plan = getattr(engine, "last_plan", None)
             complexity = self._certify(
                 engine, "infers_literal", window, span, plan=plan
             )
-            span.set_attributes(verdict=verdict, sat_calls=counter.calls)
+            span.set_attributes(verdict=verdict, sat_calls=window.np_calls)
             self._note_plan(span, plan, window)
-        solver_delta = self._solver_delta(
-            solver_before, SOLVER_POOL.core_stats()
-        )
-        self.total_sat_calls += counter.calls
-        self.queries_answered += 1
-        self._note_solver_delta(solver_delta)
         from .semantics.base import literal_formula
 
         return Answer(
             verdict=verdict,
             semantics=engine.name,
             query=literal_formula(literal),
-            sat_calls=counter.calls,
-            solver_stats=solver_delta,
+            sat_calls=window.np_calls,
+            solver_stats=self._tally(window),
             observation=window,
             complexity=complexity,
             plan=plan,
@@ -398,9 +390,10 @@ class DatabaseSession:
         runtime counters (budgets tripped, faults injected, retries,
         fallbacks, timeouts — see
         :data:`repro.runtime.budget.RUNTIME_STATS`) and the solver-pool
-        counters.  CDCL search work (``solver_*`` keys) is the *sum of
-        this session's per-query deltas*, not the pool's lifetime
-        totals — other sessions sharing the pool don't leak in."""
+        counters.  CDCL search work (``solver_*`` keys) is the sum of
+        this session's per-query ``Answer.solver_stats``, not the pool's
+        lifetime totals — other sessions sharing the pool don't leak
+        in."""
         stats = {
             "queries_answered": self.queries_answered,
             "total_sat_calls": self.total_sat_calls,
