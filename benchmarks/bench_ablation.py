@@ -18,12 +18,15 @@ Run with::
 import pytest
 
 from repro.complexity.machines import linear_inference, theta_inference
+from repro.engine.cache import classical_clauses_for
 from repro.logic.cnf import formula_to_cnf_naive, tseitin
 from repro.logic.formula import And, Or, Var
 from repro.logic.parser import parse_formula
 from repro.qbf.solver import solve_qbf2_brute, solve_qbf2_cegar
+from repro.sat.dpll import solve_dpll
 from repro.sat.minimal import MinimalModelSolver
 from repro.sat.solver import SatSolver
+from repro.sat.types import VariableMap
 from repro.workloads import (
     exclusive_pairs,
     pigeonhole_cnf_db,
@@ -35,17 +38,28 @@ from repro.workloads import (
 # ----------------------------------------------------------------------
 # SAT engine: CDCL vs DPLL
 # ----------------------------------------------------------------------
+def _solve_cdcl(db):
+    solver = SatSolver()
+    solver.add_database(db)
+    return solver.solve()
+
+
+def _solve_dpll(db):
+    """The reference DPLL on the database's integer clauses."""
+    variables = VariableMap()
+    clauses = [
+        [variables.int_literal(literal) for literal in clause]
+        for clause in classical_clauses_for(db)
+    ]
+    return solve_dpll(clauses) is not None
+
+
 @pytest.mark.parametrize("engine", ["cdcl", "dpll"])
 def test_sat_engine_on_pigeonhole(benchmark, engine):
     db = pigeonhole_cnf_db(5)
-
-    def solve():
-        solver = SatSolver(engine=engine)
-        solver.add_database(db)
-        return solver.solve()
-
-    assert solve() is False
-    benchmark(solve)
+    solve = _solve_cdcl if engine == "cdcl" else _solve_dpll
+    assert solve(db) is False
+    benchmark(solve, db)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ function of ``(seed, case_index)``:
 1. draw a base database from one of the random workload regimes;
 2. draw an applicable mutator from the catalogue
    (:mod:`repro.adversary.mutators`) and apply it;
-3. run the mutant through the six-engine differential stack
+3. run the mutant through the five-engine differential stack
    (brute / oracle / fresh / cached / planned) on a seeded query, both
    literal polarities and model existence — the brute enumerator is
    ground truth;
@@ -428,7 +428,7 @@ def find_engine_disagreement(
     query: Formula,
     literal_atom: str,
 ) -> Optional[Tuple[str, Any]]:
-    """First six-engine disagreement, as ``(method, argument)``.
+    """First five-engine disagreement, as ``(method, argument)``.
 
     The brute enumerator is ground truth; any engine answering
     differently (or raising where brute does not) is a disagreement.

@@ -27,7 +27,7 @@ def injected_planner_bug() -> Iterator[None]:
     easily; dropping a derived atom specifically breaks the fixpoint
     propagation the planner's Horn dispatch relies on).  Only the
     ``planned`` engine consults this symbol, so brute/oracle/fresh/
-    cached stay correct and the six-engine differential stack must
+    cached stay correct and the five-engine differential stack must
     flag the disagreement.
     """
     original = _planner.horn_least_model

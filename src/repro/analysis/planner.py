@@ -348,18 +348,7 @@ class PlannedSemantics(Semantics):
         instance and then through
         :func:`repro.engine.cache.query_plan_for` (a custom planner
         bypasses both caches)."""
-        if self._custom_planner:
-            plan = self._build_plan(db, method)
-        else:
-            key = (db,) + self.inner.cache_params() + (method,)
-            plan = self._plan_memo.get(key)
-            if plan is None:
-                plan = self._build_plan(db, method)
-                if len(self._plan_memo) >= 1024:
-                    self._plan_memo.clear()
-                self._plan_memo[key] = plan
-        self.last_plan = plan
-        return plan
+        return self._validated_plan(db, method, validate=False)
 
     def _build_plan(self, db: DisjunctiveDatabase, method: str) -> QueryPlan:
         from ..engine.cache import query_plan_for
@@ -372,23 +361,29 @@ class PlannedSemantics(Semantics):
         )
 
     def _validated_plan(
-        self, db: DisjunctiveDatabase, method: str
+        self, db: DisjunctiveDatabase, method: str, validate: bool = True
     ) -> QueryPlan:
-        """:meth:`plan_for` with validation folded in: re-validating on
-        an instance-memo hit would cost more than the dispatch it guards,
-        and the stored plan already proves the database is legal for this
-        parameterization."""
+        """:meth:`plan_for`, validating the database first when asked.
+
+        Validation runs only on an instance-memo miss: re-validating on a
+        hit would cost more than the dispatch it guards, and the stored
+        plan already proves the database is legal for this
+        parameterization.  A custom planner bypasses the memo, so it
+        validates on every call."""
         if self._custom_planner:
-            self.validate(db)
-            return self.plan_for(db, method)
-        key = (db,) + self.inner.cache_params() + (method,)
-        plan = self._plan_memo.get(key)
-        if plan is None:
-            self.validate(db)
+            if validate:
+                self.validate(db)
             plan = self._build_plan(db, method)
-            if len(self._plan_memo) >= 1024:
-                self._plan_memo.clear()
-            self._plan_memo[key] = plan
+        else:
+            key = (db,) + self.inner.cache_params() + (method,)
+            plan = self._plan_memo.get(key)
+            if plan is None:
+                if validate:
+                    self.validate(db)
+                plan = self._build_plan(db, method)
+                if len(self._plan_memo) >= 1024:
+                    self._plan_memo.clear()
+                self._plan_memo[key] = plan
         self.last_plan = plan
         return plan
 
@@ -542,10 +537,10 @@ class PlannedSemantics(Semantics):
     def _kernel_engine(self) -> Semantics:
         """The brute instance behind the kernel-bitset procedure (lazy).
 
-        The brute engine already runs mask-packed internals whenever the
-        kernel is enabled (see :mod:`repro.models.enumeration`); the
-        planner only ever routes here with the default parameterization,
-        which is exactly what the registry instance carries.
+        The brute engine's enumerators run on mask-packed internals
+        (see :mod:`repro.models.enumeration`); the planner only ever
+        routes here with the default parameterization, which is exactly
+        what the registry instance carries.
         """
         if self._kernel_brute is None:
             from ..semantics.base import get_semantics

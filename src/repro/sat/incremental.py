@@ -271,18 +271,15 @@ class IncrementalSatSolver:
     Args:
         db: the base database (``None`` for a bare solver).
         extra_cnf: permanent extra clauses (count as part of the theory).
-        engine: ``"cdcl"`` (default) or ``"dpll"``.
     """
 
     def __init__(
         self,
         db: Optional[DisjunctiveDatabase] = None,
         extra_cnf: Optional[Cnf] = None,
-        engine: str = "cdcl",
     ):
-        self._sat = SatSolver(engine=engine)
+        self._sat = SatSolver()
         self.db = db
-        self.engine = engine
         if db is not None:
             self._sat.add_database(db)
         for clause in extra_cnf or ():
@@ -614,7 +611,6 @@ def acquire_solver(
     db: Optional[DisjunctiveDatabase] = None,
     extra_cnf: Optional[Cnf] = None,
     context: Tuple[Hashable, ...] = (),
-    engine: str = "cdcl",
     reuse: bool = True,
     setup: Optional[Callable[[IncrementalSatSolver], None]] = None,
 ) -> Tuple[Optional[Hashable], IncrementalSatSolver]:
@@ -630,16 +626,14 @@ def acquire_solver(
     extra_key, extra_list = _canonical_extra(extra_cnf)
 
     def build() -> IncrementalSatSolver:
-        solver = IncrementalSatSolver(
-            db=db, extra_cnf=extra_list, engine=engine
-        )
+        solver = IncrementalSatSolver(db=db, extra_cnf=extra_list)
         if setup is not None:
             setup(solver)
         return solver
 
     if not reuse:
         return None, build()
-    key = (db, extra_key, tuple(context), engine)
+    key = (db, extra_key, tuple(context))
     return key, SOLVER_POOL.acquire(key, build)
 
 
@@ -660,7 +654,6 @@ def pooled_scope(
     db: Optional[DisjunctiveDatabase] = None,
     extra_cnf: Optional[Cnf] = None,
     context: Tuple[Hashable, ...] = (),
-    engine: str = "cdcl",
     reuse: bool = True,
     setup: Optional[Callable[[IncrementalSatSolver], None]] = None,
 ) -> Iterator[Scope]:
@@ -674,7 +667,6 @@ def pooled_scope(
         db=db,
         extra_cnf=extra_cnf,
         context=context,
-        engine=engine,
         reuse=reuse,
         setup=setup,
     )

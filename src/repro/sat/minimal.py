@@ -78,7 +78,6 @@ class _PooledSolverMixin:
         db: Optional[DisjunctiveDatabase],
         extra_cnf: Optional[Cnf],
         context: Tuple,
-        engine: str,
         reuse: bool,
         setup=None,
     ) -> None:
@@ -86,7 +85,6 @@ class _PooledSolverMixin:
             db=db,
             extra_cnf=extra_cnf,
             context=context,
-            engine=engine,
             reuse=reuse,
             setup=setup,
         )
@@ -119,7 +117,6 @@ class MinimalModelSolver(_PooledSolverMixin):
         extra_cnf: additional clauses conjoined to the theory.
         universe: the atom set over which subset-minimality is taken;
             defaults to the database vocabulary.
-        engine: SAT engine for all queries.
         reuse: draw the solver from the process pool (warm learned
             clauses) rather than building a private one.
     """
@@ -129,11 +126,9 @@ class MinimalModelSolver(_PooledSolverMixin):
         db: DisjunctiveDatabase,
         extra_cnf: Optional[Cnf] = None,
         universe: Optional[Iterable[str]] = None,
-        engine: str = "cdcl",
         reuse: bool = True,
     ):
         self.db = db
-        self.engine = engine
         self.reuse = reuse
         self.universe: Tuple[str, ...] = tuple(
             sorted(universe if universe is not None else db.vocabulary)
@@ -148,7 +143,7 @@ class MinimalModelSolver(_PooledSolverMixin):
             context = ("db-universe", universe_atoms)
             setup = lambda solver: solver.intern(universe_atoms)
         self._attach_solver(
-            db, self._extra_cnf, context, engine, reuse, setup=setup
+            db, self._extra_cnf, context, reuse, setup=setup
         )
         self.sat_calls = 0
 
@@ -215,7 +210,7 @@ class MinimalModelSolver(_PooledSolverMixin):
                 if not part.clauses:
                     continue  # MM = {∅}
                 with MinimalModelSolver(
-                    part, engine=self.engine, reuse=self.reuse
+                    part, reuse=self.reuse
                 ) as sub:
                     found = sub.find_minimal()
                     self.sat_calls += sub.sat_calls
@@ -276,7 +271,7 @@ class MinimalModelSolver(_PooledSolverMixin):
             if not part.clauses:
                 continue  # free atoms: MM = {∅}, neutral for the product
             with MinimalModelSolver(
-                part, engine=self.engine, reuse=self.reuse
+                part, reuse=self.reuse
             ) as sub:
                 models = list(sub.iter_minimal_models())
                 self.sat_calls += sub.sat_calls
@@ -460,17 +455,15 @@ class PZMinimalModelSolver(_PooledSolverMixin):
         db: DisjunctiveDatabase,
         p: Iterable[str],
         z: Iterable[str],
-        engine: str = "cdcl",
         reuse: bool = True,
     ):
         self.db = db
-        self.engine = engine
         self.reuse = reuse
         self.p = frozenset(p)
         self.z = frozenset(z)
         self.q = frozenset(db.vocabulary) - self.p - self.z
         db.check_partition(self.p, self.q, self.z)
-        self._attach_solver(db, None, ("db",), engine, reuse)
+        self._attach_solver(db, None, ("db",), reuse)
         self.sat_calls = 0
 
     def witness_below(self, model: Iterable[str]) -> Optional[Interpretation]:
@@ -680,8 +673,7 @@ class PZMinimalModelSolver(_PooledSolverMixin):
                 # both values (each valuation is minimal for its own
                 # Q-slice) and Z-atoms float, so every Q∪Z subset appears.
                 # Enumerated through the parent database's shared
-                # AtomTable so the product order is deterministic and
-                # identical across the kernel and pure representations.
+                # AtomTable so the product order is deterministic.
                 models = list(
                     subsets_in_table_order(
                         atom_table_for(self.db), part.vocabulary - p_i
@@ -689,7 +681,7 @@ class PZMinimalModelSolver(_PooledSolverMixin):
                 )
             else:
                 with PZMinimalModelSolver(
-                    part, p_i, z_i, engine=self.engine, reuse=self.reuse
+                    part, p_i, z_i, reuse=self.reuse
                 ) as sub:
                     models = list(sub.iter_minimal_models())
                     self.sat_calls += sub.sat_calls
@@ -721,11 +713,9 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
         db: DisjunctiveDatabase,
         levels: Sequence[Iterable[str]],
         z: Iterable[str] = (),
-        engine: str = "cdcl",
         reuse: bool = True,
     ):
         self.db = db
-        self.engine = engine
         self.reuse = reuse
         self.levels: List[frozenset] = [frozenset(level) for level in levels]
         self.z = frozenset(z)
@@ -735,7 +725,7 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
         if flat & self.z:
             raise SolverError("priority levels overlap with Z")
         self.q = frozenset(db.vocabulary) - flat - self.z
-        self._attach_solver(db, None, ("db",), engine, reuse)
+        self._attach_solver(db, None, ("db",), reuse)
         self.sat_calls = 0
 
     def witness_below(self, model: Iterable[str]) -> Optional[Interpretation]:
@@ -822,28 +812,26 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
 # Convenience functions
 # ----------------------------------------------------------------------
 def find_minimal_model(
-    db: DisjunctiveDatabase, engine: str = "cdcl", reuse: bool = True
+    db: DisjunctiveDatabase, reuse: bool = True
 ) -> Optional[Interpretation]:
     """Some subset-minimal model of ``db`` or ``None`` if inconsistent."""
-    with MinimalModelSolver(db, engine=engine, reuse=reuse) as solver:
+    with MinimalModelSolver(db, reuse=reuse) as solver:
         return solver.find_minimal()
 
 
 def minimal_models(
     db: DisjunctiveDatabase,
     max_models: Optional[int] = None,
-    engine: str = "cdcl",
     reuse: bool = True,
 ) -> List[Interpretation]:
     """All subset-minimal models ``MM(DB)`` (bounded by ``max_models``)."""
-    with MinimalModelSolver(db, engine=engine, reuse=reuse) as solver:
+    with MinimalModelSolver(db, reuse=reuse) as solver:
         return list(solver.iter_minimal_models(max_models))
 
 
 def is_minimal_model(
     db: DisjunctiveDatabase,
     model: Iterable[str],
-    engine: str = "cdcl",
     reuse: bool = True,
 ) -> bool:
     """Whether ``model`` is a minimal model of ``db`` (model-ness is also
@@ -851,5 +839,5 @@ def is_minimal_model(
     model_set = frozenset(model)
     if not db.is_model(model_set):
         return False
-    with MinimalModelSolver(db, engine=engine, reuse=reuse) as solver:
+    with MinimalModelSolver(db, reuse=reuse) as solver:
         return solver.is_minimal(model_set)

@@ -12,7 +12,7 @@ A :class:`SatSolver` is incremental: clauses can be added between
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..errors import SolverError
 from ..logic.atoms import Literal
@@ -24,29 +24,24 @@ from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
 from .cdcl import CdclSolver
-from .dpll import solve_dpll
 from .types import VariableMap
 
 
 class SatSolver:
     """Incremental SAT solving over named atoms (the NP oracle).
 
+    The CDCL core (:class:`~repro.sat.cdcl.CdclSolver`) is the only
+    backend; :func:`repro.sat.dpll.solve_dpll` is the standalone
+    reference the test suite checks it against.
+
     Args:
         max_conflicts: optional conflict budget forwarded to the CDCL core.
-        engine: ``"cdcl"`` (default) or ``"dpll"`` (reference; ignores
-            incrementality optimizations but honors the same interface).
     """
 
-    def __init__(
-        self, max_conflicts: Optional[int] = None, engine: str = "cdcl"
-    ):
-        if engine not in ("cdcl", "dpll"):
-            raise SolverError(f"unknown engine {engine!r}")
-        self.engine = engine
+    def __init__(self, max_conflicts: Optional[int] = None):
         self.variables = VariableMap()
         self._core = CdclSolver(max_conflicts=max_conflicts)
         note_solver(self._core.stats)
-        self._clauses: List[List[int]] = []  # mirror for the DPLL engine
         self._known_unsat = False
         self._last_model: Optional[set] = None
 
@@ -56,9 +51,7 @@ class SatSolver:
     def add_int_clause(self, literals: Iterable[int]) -> None:
         """Assert a clause given as integer literals (advanced use)."""
         note_solver(self._core.stats)  # level-0 propagation counts
-        clause = list(literals)
-        self._clauses.append(clause)
-        if not self._core.add_clause(clause):
+        if not self._core.add_clause(list(literals)):
             self._known_unsat = True
 
     def add_clause(self, literals: Iterable[Literal]) -> None:
@@ -113,11 +106,11 @@ class SatSolver:
         satisfied forever); the incremental layer calls this when a
         scope retires so its guarded clauses stop clogging watch lists.
         Returns the number of clauses removed from the CDCL store."""
-        number = self.variables.int_literal(literal)
-        self._clauses = [c for c in self._clauses if number not in c]
         if self._known_unsat:
             return 0
-        return self._core.remove_clauses_with(number)
+        return self._core.remove_clauses_with(
+            self.variables.int_literal(literal)
+        )
 
     # ------------------------------------------------------------------
     # Solving
@@ -135,14 +128,6 @@ class SatSolver:
         note_solver(self._core.stats)
         observe_sat_call()
         assumed = [self.variables.int_literal(l) for l in assumptions]
-        if self.engine == "dpll":
-            if self._known_unsat:
-                self._last_model = None
-                return False
-            unit_clauses = [[l] for l in assumed]
-            model = solve_dpll(self._clauses + unit_clauses)
-            self._last_model = model
-            return model is not None
         # The core answers an already-refuted theory at once, but still
         # counts the call: ``solve_calls`` matches the NP calls ticked.
         satisfiable = self._core.solve(assumed)
@@ -193,25 +178,23 @@ class SatSolver:
 # ----------------------------------------------------------------------
 # One-shot helpers
 # ----------------------------------------------------------------------
-def is_satisfiable(cnf: Cnf, engine: str = "cdcl") -> bool:
+def is_satisfiable(cnf: Cnf) -> bool:
     """One-shot satisfiability of a symbolic CNF."""
-    solver = SatSolver(engine=engine)
+    solver = SatSolver()
     solver.add_cnf(cnf)
     return solver.solve()
 
 
-def database_is_consistent(db: DisjunctiveDatabase, engine: str = "cdcl") -> bool:
+def database_is_consistent(db: DisjunctiveDatabase) -> bool:
     """Whether the database has at least one classical model."""
-    solver = SatSolver(engine=engine)
+    solver = SatSolver()
     solver.add_database(db)
     return solver.solve()
 
 
-def find_model(
-    db: DisjunctiveDatabase, engine: str = "cdcl"
-) -> Optional[Interpretation]:
+def find_model(db: DisjunctiveDatabase) -> Optional[Interpretation]:
     """Some classical model of the database, or ``None``."""
-    solver = SatSolver(engine=engine)
+    solver = SatSolver()
     solver.add_database(db)
     if not solver.solve():
         return None

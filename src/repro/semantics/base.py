@@ -50,19 +50,16 @@ from ..obs.accounting import observe as _observe
 from ..obs.metrics import METRICS
 
 #: Valid engine names accepted by :func:`get_semantics`.
-ENGINES = (
-    "oracle", "fresh", "brute", "cached", "resilient", "planned", "kernel"
-)
+ENGINES = ("oracle", "fresh", "brute", "cached", "resilient", "planned")
 
 #: Engines concrete semantics classes implement directly ("cached",
-#: "resilient", "planned" and "kernel" are wrappers realized by
+#: "resilient" and "planned" are wrappers realized by
 #: :mod:`repro.engine` / :mod:`repro.analysis`).  "fresh" runs the
 #: oracle decision procedures with pooling disabled.
 CONCRETE_ENGINES = ("oracle", "fresh", "brute")
 
-#: Engine names realized as wrapper façades over a concrete instance
-#: ("kernel" wraps the brute enumerator; the rest wrap oracle).
-WRAPPER_ENGINES = ("cached", "resilient", "planned", "kernel")
+#: Engine names realized as wrapper façades over an oracle instance.
+WRAPPER_ENGINES = ("cached", "resilient", "planned")
 
 
 #: The shared entry points every semantics class exposes; these are the
@@ -340,13 +337,6 @@ def get_semantics(name: str, **kwargs) -> Semantics:
     head-cycle-free ⇒ NP-level foundedness machine, otherwise the
     oracle procedures verbatim).
 
-    ``engine="kernel"`` returns the brute instance wrapped in the
-    differential kernel leg
-    (:class:`~repro.engine.KernelLegSemantics`): every entry point runs
-    on the interpretation representation *opposite* to the ambient one
-    (bitset masks vs. pure frozensets), cross-checking the two kernel
-    code paths against each other.
-
     ``engine="resilient"`` returns the oracle instance wrapped in the
     deadline-governed, fault-tolerant engine
     (:class:`~repro.engine.resilient.ResilientSemantics`), with the brute
@@ -380,13 +370,6 @@ def get_semantics(name: str, **kwargs) -> Semantics:
             **{**kwargs, "engine": "oracle"}
         )
         return PlannedSemantics(inner)
-    if engine == "kernel":
-        from ..engine import KernelLegSemantics
-
-        inner = SEMANTICS[resolve_name(name)](
-            **{**kwargs, "engine": "brute"}
-        )
-        return KernelLegSemantics(inner)
     if engine == "resilient":
         from ..engine.resilient import ResilientSemantics
 

@@ -33,7 +33,6 @@ from .base import Semantics, ground_query, register
 def is_stable_model(
     db: DisjunctiveDatabase,
     model: Interpretation,
-    engine: str = "cdcl",
     reuse: bool = True,
 ) -> bool:
     """``M ∈ MM(DB^M)`` — the Σ₂ᵖ verifier's check (polynomial plus one
@@ -42,7 +41,7 @@ def is_stable_model(
     reduct = gl_reduct(db, model)
     if not reduct.is_model(model):
         return False
-    with MinimalModelSolver(reduct, engine=engine, reuse=reuse) as solver:
+    with MinimalModelSolver(reduct, reuse=reuse) as solver:
         return solver.is_minimal(model)
 
 

@@ -1,5 +1,5 @@
 """Differential test harness: planned vs. cached vs. oracle vs. fresh
-vs. brute, plus the opposite-representation kernel leg.
+vs. brute.
 
 Seeded random databases from :mod:`repro.workloads.random_db`, one batch
 per syntactic regime, are cross-checked across every registered paper
@@ -7,9 +7,7 @@ semantics applicable to that regime: the memoizing ``cached`` engine,
 the pooled incremental ``oracle`` decision procedures, the identical
 procedures on throwaway ``fresh`` solvers, the fragment-dispatching
 ``planned`` engine (Horn unit propagation / head-cycle-free foundedness
-fast paths where the profile allows, oracle fallback elsewhere), the
-``kernel`` leg (the brute enumerator re-run on the opposite
-interpretation representation — bitset masks vs. pure frozensets), and
+fast paths where the profile allows, oracle fallback elsewhere), and
 the ``brute`` ground-truth enumerator must agree on ``model_set``,
 ``infers`` (on a seeded random query formula), ``infers_literal`` (both
 polarities) and ``has_model``.
@@ -18,7 +16,9 @@ The generators are deterministic given a seed (see
 ``test_random_db_determinism.py``), so any disagreement reproduces
 byte-identically from the failing parameter id.  The harness quantifies
 over more than 200 databases in total (asserted by
-``test_coverage_floor``).
+``test_coverage_floor``).  The brute enumerator's own bitset internals
+are pinned to a frozenset reference on the same corpus in
+``test_reference_models.py``.
 """
 
 from __future__ import annotations
@@ -82,12 +82,12 @@ def build_db(regime: str, seed: int):
 
 def engines(name: str):
     """(brute ground truth, pooled oracle, fresh-solver oracle,
-    memoizing cached, fragment-planned, opposite-kernel brute)."""
+    memoizing cached, fragment-planned)."""
     return differential_stack(name)
 
 
 def check_agreement(db, names, query_seed: int = 0) -> None:
-    """Assert six-engine agreement on every decision problem.
+    """Assert five-engine agreement on every decision problem.
 
     ``oracle`` runs the decision procedures on pooled incremental
     solvers, ``fresh`` runs the identical procedures on throwaway
@@ -96,9 +96,7 @@ def check_agreement(db, names, query_seed: int = 0) -> None:
     fresh-solver ground truth on every database of the corpus.
     ``planned`` additionally pins the fragment fast paths (Horn least
     model, head-cycle-free foundedness) to the same ground truth on
-    every database whose profile triggers them, and ``kernel``
-    re-answers every probe on the opposite interpretation
-    representation so the bitset and pure code paths stay equivalent.
+    every database whose profile triggers them.
     """
     query = random_query_formula(
         sorted(db.vocabulary), depth=2, seed=query_seed

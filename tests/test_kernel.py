@@ -1,6 +1,6 @@
 """Bitset kernel invariants: packing, equivalence, sweeps, fast paths.
 
-Five families pin the PR 8 kernel layer to the historical pure path:
+Five families pin the kernel layer to frozenset semantics:
 
 * **AtomTable round-trip** — hypothesis-quantified pack/unpack bijection
   and the mask-rank = enumeration-rank identity the whole kernel rests
@@ -8,18 +8,17 @@ Five families pin the PR 8 kernel layer to the historical pure path:
 * **mask vs. frozenset primitives** — clause satisfaction, model
   checking and proper-subset tests agree with the ``Clause`` /
   ``Interpretation`` originals on random databases;
-* **bitset vs. pure enumeration** — ``all_models`` /
-  ``minimal_models_brute`` / ``pz_minimal_models_brute`` produce
-  *identical sequences* (order included) and identical node accounting
-  under :func:`force_kernel` either way;
+* **bitset enumeration vs. the frozenset reference** — ``all_models`` /
+  ``minimal_models_brute`` / ``pz_minimal_models_brute`` produce the
+  *identical sequences* (order included) and node accounting of
+  ``reference_models`` on random databases (the corpus-wide pin is
+  ``test_reference_models.py``);
 * **batched sweeps** — ``free_for_negation_sweep`` matches the brute
   ``ff(DB)`` closure with exactly |V| Σ₂ᵖ dispatches, and the PZ sweep
   matches brute CCWA free atoms;
-* **supported fast path & escape hatch** — the tight-stratified
-  ``supported`` plan dispatches to ``stratified-perfect`` and agrees
-  with brute, non-tight databases stay on ``default``, and
-  ``REPRO_KERNEL=pure`` flips :func:`kernel_enabled` without changing
-  any answer.
+* **supported fast path** — the tight-stratified ``supported`` plan
+  dispatches to ``stratified-perfect`` and agrees with brute, and
+  non-tight databases stay on ``default``.
 """
 
 from __future__ import annotations
@@ -29,16 +28,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.cost import DEFAULT_PROCEDURE, STRATIFIED_PROCEDURE
-from repro.engine import DIFFERENTIAL_ENGINES, differential_stack
 from repro.engine.cache import ENGINE_CACHE
 from repro.kernel import (
     AtomTable,
     PackedDatabase,
     atom_table_for,
     clause_satisfied,
-    force_kernel,
     is_proper_submask,
-    kernel_enabled,
     packed_database_for,
     product_or_masks,
     subsets_in_table_order,
@@ -57,6 +53,7 @@ from repro.sat.minimal import MinimalModelSolver, PZMinimalModelSolver
 from repro.semantics import get_semantics
 from repro.semantics.gcwa import free_for_negation_brute
 
+import reference_models as ref
 from conftest import ATOMS, databases, positive_databases, random_small_db
 
 #: Random subsets of the shared atom pool.
@@ -142,21 +139,19 @@ def test_memoized_accessors_share_one_table():
 
 
 # ----------------------------------------------------------------------
-# Bitset vs. pure enumeration: identical sequences, identical accounting
+# Bitset enumeration vs. the frozenset reference: identical sequences,
+# identical accounting
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(12))
 def test_enumerators_agree_across_kernels(seed):
     db = random_small_db(seed)
-    runs = {}
-    for mode in ("bitset", "pure"):
-        ENGINE_CACHE.clear()
-        with force_kernel(mode), observe() as window:
-            runs[mode] = (
-                list(all_models(db)),
-                list(minimal_models_brute(db)),
-                window.as_dict(),
-            )
-    assert runs["bitset"] == runs["pure"], seed
+    ENGINE_CACHE.clear()
+    with observe() as window:
+        got = (list(all_models(db)), list(minimal_models_brute(db)))
+    models, model_nodes = ref.all_models(db)
+    minimal, minimal_nodes = ref.minimal_models(db)
+    assert got == (models, minimal), seed
+    assert window.nodes == model_nodes + minimal_nodes, seed
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -164,15 +159,12 @@ def test_pz_enumerator_agrees_across_kernels(seed):
     db = random_small_db(seed, allow_neg=False, allow_ic=False)
     atoms = sorted(db.vocabulary)
     p, z = atoms[:2], atoms[2:3]
-    runs = {}
-    for mode in ("bitset", "pure"):
-        ENGINE_CACHE.clear()
-        with force_kernel(mode), observe() as window:
-            runs[mode] = (
-                list(pz_minimal_models_brute(db, p, z)),
-                window.as_dict(),
-            )
-    assert runs["bitset"] == runs["pure"], seed
+    ENGINE_CACHE.clear()
+    with observe() as window:
+        got = list(pz_minimal_models_brute(db, p, z))
+    expected, nodes = ref.pz_minimal_models(db, p, z)
+    assert got == expected, seed
+    assert window.nodes == nodes, seed
 
 
 # ----------------------------------------------------------------------
@@ -234,39 +226,6 @@ def test_pz_sweep_matches_brute_free_atoms(seed):
 
 
 # ----------------------------------------------------------------------
-# Differential kernel leg
-# ----------------------------------------------------------------------
-def test_differential_stack_has_kernel_leg():
-    assert DIFFERENTIAL_ENGINES[-1] == "kernel"
-    stack = differential_stack("gcwa")
-    assert len(stack) == len(DIFFERENTIAL_ENGINES)
-    assert stack[-1].engine == "kernel"
-    db = parse_database("a | b. c :- a.")
-    assert stack[-1].model_set(db) == stack[0].model_set(db)
-
-
-def test_kernel_leg_runs_opposite_representation():
-    leg = differential_stack("egcwa")[-1]
-    db = parse_database("a | b.")
-    seen = []
-    original = leg._inner.model_set
-
-    def spying(inner_db):
-        seen.append(kernel_enabled())
-        return original(inner_db)
-
-    leg._inner.model_set = spying
-    try:
-        with force_kernel("bitset"):
-            leg.model_set(db)
-        with force_kernel("pure"):
-            leg.model_set(db)
-    finally:
-        leg._inner.model_set = original
-    assert seen == [False, True]
-
-
-# ----------------------------------------------------------------------
 # Supported-semantics fast path
 # ----------------------------------------------------------------------
 TIGHT_DBS = (
@@ -314,36 +273,29 @@ def test_supported_fast_path_excludes_self_loop():
 
 
 # ----------------------------------------------------------------------
-# Escape hatch
+# The bitset kernel is not an engine of its own
 # ----------------------------------------------------------------------
-def test_repro_kernel_env_escape_hatch(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert kernel_enabled()
-    monkeypatch.setenv("REPRO_KERNEL", "pure")
-    assert not kernel_enabled()
-    monkeypatch.setenv("REPRO_KERNEL", "PURE")
-    assert not kernel_enabled()
-    monkeypatch.setenv("REPRO_KERNEL", "bitset")
-    assert kernel_enabled()
-    # force_kernel wins over the environment in either direction.
-    with force_kernel("pure"):
-        assert not kernel_enabled()
-    monkeypatch.setenv("REPRO_KERNEL", "pure")
-    with force_kernel("bitset"):
-        assert kernel_enabled()
+def test_kernel_engine_name_is_rejected(tmp_path, capsys):
+    """``kernel`` names a planner procedure, not an engine: both the
+    library and the CLI's engine choice (``infer --engine``) reject it
+    and list the known engines."""
+    from repro.cli import main
+    from repro.errors import ReproError
+    from repro.semantics import ENGINES
 
-
-def test_pure_mode_answers_are_unchanged(monkeypatch):
-    db = parse_database("a | b. c :- a. d :- b, not c.")
-    bitset_models = get_semantics("gcwa", engine="brute").model_set(db)
-    monkeypatch.setenv("REPRO_KERNEL", "pure")
-    ENGINE_CACHE.clear()
-    assert get_semantics("gcwa", engine="brute").model_set(db) == (
-        bitset_models
-    )
-
-
-def test_force_kernel_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        with force_kernel("simd"):
-            pass
+    assert "kernel" not in ENGINES
+    with pytest.raises(ReproError) as excinfo:
+        get_semantics("gcwa", engine="kernel")
+    assert all(engine in str(excinfo.value) for engine in ENGINES)
+    path = tmp_path / "db.ddb"
+    path.write_text("a | b.\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["infer", str(path), "-q", "~a", "--engine", "kernel"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'kernel'" in err
+    assert all(f"'{engine}'" in err for engine in ENGINES)
+    # ``query`` always runs the resilient engine and takes no --engine.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["query", str(path), "-q", "~a", "--engine", "kernel"])
+    assert exit_info.value.code == 2

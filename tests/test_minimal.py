@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+from repro.engine.cache import classical_clauses_for
 from repro.logic.formula import Not, Var
 from repro.logic.parser import parse_database, parse_formula
 from repro.models.enumeration import (
@@ -10,6 +11,7 @@ from repro.models.enumeration import (
     prioritized_minimal_models_brute,
     pz_minimal_models_brute,
 )
+from repro.sat.dpll import solve_dpll
 from repro.sat.minimal import (
     MinimalModelSolver,
     PrioritizedMinimalModelSolver,
@@ -18,6 +20,7 @@ from repro.sat.minimal import (
     is_minimal_model,
     minimal_models,
 )
+from repro.sat.types import VariableMap
 
 from conftest import databases, positive_databases
 
@@ -188,28 +191,45 @@ class TestPrioritizedMinimal:
         assert fast == slow
 
 
+def dpll_confirms_minimal(db, model) -> bool:
+    """The reference DPLL finds no model of ``db`` strictly below
+    ``model``."""
+    variables = VariableMap()
+    clauses = [
+        [variables.int_literal(literal) for literal in clause]
+        for clause in classical_clauses_for(db)
+    ]
+    clauses += [
+        [-variables.intern(atom)]
+        for atom in sorted(db.vocabulary - frozenset(model))
+    ]
+    clauses.append([-variables.intern(atom) for atom in sorted(model)])
+    return solve_dpll(clauses) is None
+
+
 class TestDpllEngineParity:
-    """The reference DPLL engine plugs in below the minimal-model
-    machinery and must agree with CDCL end to end."""
+    """The CDCL-backed minimal-model machinery agrees with the brute
+    enumerator end to end, and the reference DPLL confirms every
+    minimal model it returns."""
 
     def test_minimal_models_same_under_both_engines(self, simple_db):
-        cdcl = {frozenset(m) for m in minimal_models(simple_db)}
-        dpll = {
-            frozenset(m)
-            for m in MinimalModelSolver(
-                simple_db, engine="dpll"
-            ).iter_minimal_models()
+        models = minimal_models(simple_db)
+        assert {frozenset(m) for m in models} == {
+            frozenset(m) for m in minimal_models_brute(simple_db)
         }
-        assert cdcl == dpll
+        assert all(dpll_confirms_minimal(simple_db, m) for m in models)
+        assert not dpll_confirms_minimal(simple_db, {"a", "b", "c"})
 
     def test_entailment_same_under_both_engines(self, simple_db):
         formula = parse_formula("~a | ~b")
-        assert MinimalModelSolver(simple_db, engine="dpll").entails(
-            formula
-        ) == MinimalModelSolver(simple_db, engine="cdcl").entails(formula)
+        assert MinimalModelSolver(simple_db).entails(formula) == all(
+            m.satisfies(formula) for m in minimal_models_brute(simple_db)
+        )
 
     @given(databases(max_clauses=3))
     def test_random_parity(self, db):
-        cdcl = {frozenset(m) for m in minimal_models(db, engine="cdcl")}
-        dpll = {frozenset(m) for m in minimal_models(db, engine="dpll")}
-        assert cdcl == dpll
+        models = minimal_models(db)
+        assert {frozenset(m) for m in models} == {
+            frozenset(m) for m in minimal_models_brute(db)
+        }
+        assert all(dpll_confirms_minimal(db, m) for m in models)
